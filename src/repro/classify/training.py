@@ -92,10 +92,12 @@ def pair_features(
     pairs: Iterable[Pair],
     names: Optional[Tuple[str, ...]] = None,
 ) -> List[FeatureVector]:
-    """Extract the 48 (or a subset of) features for each candidate pair."""
-    return [
-        extract_features(dataset[a], dataset[b], names=names) for a, b in pairs
-    ]
+    """Extract the 48 (or a subset of) features for each candidate pair.
+
+    Runs the vectorised :func:`extract_features_batch`, which is value-
+    identical to the scalar :func:`extract_features` reference.
+    """
+    return extract_features_batch(dataset, list(pairs), names=names)
 
 
 @seeded(param="seed")
@@ -181,18 +183,29 @@ class PairClassifier:
         )
         self.feature_names = feature_names
         self.model: Optional[ADTreeModel] = None
+        # Training vectors kept by ``fit`` for the next ``rank`` only;
+        # every ``rank`` empties it, so a long-lived classifier holds
+        # no vectors.
+        self._fit_vectors: Dict[Pair, FeatureVector] = {}
 
     @deterministic
     def fit(self, labeled_pairs: Mapping[Pair, bool]) -> "PairClassifier":
-        """Train the ADTree from pair -> is-match labels."""
+        """Train the ADTree from pair -> is-match labels.
+
+        The training vectors are kept keyed by pair so that the next
+        :meth:`rank` extracts only the pairs it has not seen. Reuse is
+        exact: the dataset is immutable, the learner does not mutate
+        its input, and the batch extractor is what ``rank`` runs.
+        """
         with self.tracer.span("classify.fit", n_pairs=len(labeled_pairs)):
             pairs = sorted(labeled_pairs)
             with self.tracer.span("classify.features"):
-                features = pair_features(
+                features = extract_features_batch(
                     self.dataset, pairs, names=self.feature_names
                 )
             labels = [labeled_pairs[pair] for pair in pairs]
             self.model = self.learner.fit(features, labels)
+            self._fit_vectors = dict(zip(pairs, features))
         self.tracer.count("classify.training_pairs", len(pairs))
         return self
 
@@ -231,62 +244,63 @@ class PairClassifier:
         pickled per chunk — and pair lists below the executor's
         ``min_dispatch_items`` are scored inline with the same batch
         extractor.
+
+        In-process scoring reuses the vectors the last :meth:`fit`
+        extracted and batch-extracts only the pairs it lacks. Every
+        call, on every path, drops those vectors afterwards.
         """
         with self.tracer.span("classify.rank"):
-            if executor is not None and executor.parallel:
-                unique = sorted(set(pairs))
+            unique = sorted(set(pairs))
+            vectors, self._fit_vectors = self._fit_vectors, {}
+            scored: List[Tuple[Pair, float]] = []
+            if unique:
                 model = self._require_model()
-                if executor.shared_state:
-                    chunk_results = self._rank_chunks_shared(
-                        unique, model, executor
-                    )
+                if executor is not None and executor.parallel and not (
+                    executor.shared_state
+                    and len(unique) < executor.min_dispatch_items
+                ):
+                    chunk_results = self._rank_chunks(unique, model, executor)
+                    scored = list(merge_scored_chunks(chunk_results).items())
                 else:
-                    chunk_results = executor.map_chunks(
-                        classify_pair_chunk,
-                        [
-                            (self.dataset, model, self.feature_names, chunk)
-                            for chunk in executor.plan_chunks(unique)
-                        ],
-                        tracer=self.tracer,
-                        label="classify.score_pairs",
-                    )
-                merged = merge_scored_chunks(chunk_results)
-                scored = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-            else:
-                unique = sorted(set(pairs))
-                scored = []
-                if unique:
-                    model = self._require_model()
-                    vectors = extract_features_batch(
-                        self.dataset, unique, names=self.feature_names
-                    )
+                    # Serial, or below the shared-state dispatch floor
+                    # where dispatch would cost more than the work.
+                    missing = [pair for pair in unique if pair not in vectors]
+                    if missing:
+                        vectors.update(
+                            zip(
+                                missing,
+                                extract_features_batch(
+                                    self.dataset, missing,
+                                    names=self.feature_names,
+                                ),
+                            )
+                        )
                     scored = [
-                        (pair, model.score(vector))
-                        for pair, vector in zip(unique, vectors)
+                        (pair, model.score(vectors[pair])) for pair in unique
                     ]
-                scored.sort(key=lambda kv: (-kv[1], kv[0]))
+            scored.sort(key=lambda kv: (-kv[1], kv[0]))
         self.tracer.count("classify.pairs_scored", len(scored))
         return scored
 
-    def _rank_chunks_shared(
+    def _rank_chunks(
         self,
         unique: List[Pair],
         model: ADTreeModel,
         executor: Executor,
     ) -> List[List[Tuple[Pair, float]]]:
-        """Score rank chunks through the pickle-free dispatch path."""
-        if len(unique) < executor.min_dispatch_items:
-            # Dispatch would cost more than the work; same kernels,
-            # in-process, as one "chunk" result.
-            vectors = extract_features_batch(
-                self.dataset, unique, names=self.feature_names
-            )
-            return [
+        """Extract and score ``unique`` in worker chunks."""
+        if not executor.shared_state:
+            return executor.map_chunks(
+                classify_pair_chunk,
                 [
-                    (pair, model.score(vector))
-                    for pair, vector in zip(unique, vectors)
-                ]
-            ]
+                    (self.dataset, model, self.feature_names, chunk)
+                    for chunk in executor.plan_chunks(unique)
+                ],
+                tracer=self.tracer,
+                label="classify.score_pairs",
+            )
+        # Pickle-free: dataset and model are published once instead of
+        # pickled per chunk.
         with publish_shared_state(
             dataset=self.dataset,
             model=model,

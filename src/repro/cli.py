@@ -559,6 +559,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     )
 
     labels = None
+    blocking = None
     if args.classify:
         blocking = pipeline.block(dataset)
         tagger = ExpertTagger(dataset, seed=args.tag_seed)
@@ -569,6 +570,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     resolution = pipeline.run(
         dataset, labeled_pairs=labels,
         checkpoints=_checkpoint_store(args), resume=args.resume,
+        blocking=blocking,
     )
     _finish_tracing(args, tracer, resolution)
     crisp = resolution.resolve(args.certainty)
@@ -606,6 +608,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     labels = None
+    blocking = None
     if args.classify:
         blocking = pipeline.block(dataset)
         tagger = ExpertTagger(dataset, seed=args.tag_seed)
@@ -616,6 +619,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     resolution = pipeline.run(
         dataset, labeled_pairs=labels,
         checkpoints=_checkpoint_store(args), resume=args.resume,
+        blocking=blocking,
     )
     _finish_tracing(args, tracer, resolution)
     assert resolution.report is not None  # tracer is always enabled here

@@ -204,6 +204,7 @@ class UncertainERPipeline:
         checkpoints: Optional[CheckpointStore] = None,
         resume: bool = False,
         faults: Optional[FaultInjector] = None,
+        blocking: Optional[BlockingResult] = None,
     ) -> ResolutionResult:
         """Execute the configured pipeline.
 
@@ -220,6 +221,15 @@ class UncertainERPipeline:
         hook: it may raise
         :class:`~repro.resilience.faults.SimulatedCrash` at any stage
         boundary (after that stage's checkpoint is durable).
+
+        ``blocking`` lets a caller that already blocked this corpus —
+        e.g. to pick the pairs an expert tags — hand the result in, so
+        the blocking stage does not run MFIBlocks a second time.
+        Precondition: it must be what ``self.block(dataset)`` returns
+        on this pipeline's configuration; it is not checked, and since
+        it is a function of corpus and config the checkpoint
+        fingerprints do not cover it. A resume from a checkpoint past
+        blocking ignores it.
         """
         tracer = self.tracer
         fingerprints: Dict[str, str] = {}
@@ -249,7 +259,10 @@ class UncertainERPipeline:
                 tracer.count("resilience.stages_resumed", first_stage)
             for index in range(first_stage, len(PIPELINE_STAGES)):
                 stage = PIPELINE_STAGES[index]
-                self._run_stage(stage, state, dataset, classifier, labeled_pairs)
+                self._run_stage(
+                    stage, state, dataset, classifier, labeled_pairs,
+                    blocking,
+                )
                 if checkpoints is not None:
                     with tracer.span("pipeline.checkpoint", stage=stage):
                         checkpoints.save(
@@ -284,13 +297,15 @@ class UncertainERPipeline:
         dataset: Dataset,
         classifier: Optional[PairClassifier],
         labeled_pairs: Optional[Mapping[Pair, bool]],
+        blocking: Optional[BlockingResult],
     ) -> None:
         """Execute one named stage, mutating ``state`` in place."""
         config = self.config
         tracer = self.tracer
         if stage == "blocking":
-            with tracer.span("pipeline.block"):
-                blocking = self.block(dataset)
+            if blocking is None:
+                with tracer.span("pipeline.block"):
+                    blocking = self.block(dataset)
             state.pair_scores = dict(blocking.pair_scores)
             state.degraded = blocking.degraded
             tracer.count("pipeline.candidate_pairs", len(state.pair_scores))

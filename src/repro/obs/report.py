@@ -379,6 +379,7 @@ class RunReport:
                     f"(#{dispatch.get('map_call', 0)})",
                     str(dispatch.get("chunks", 0)),
                     f"{float(dispatch.get('wall_seconds', 0.0)):.4f}",
+                    f"{float(dispatch.get('pool_start_seconds', 0.0)):.4f}",
                     f"{float(dispatch.get('compute_seconds', 0.0)):.4f}",
                     f"{float(dispatch.get('queue_seconds', 0.0)):.4f}",
                     f"{float(dispatch.get('pickle_seconds', 0.0)):.4f}",
@@ -388,8 +389,8 @@ class RunReport:
             )
         lines.extend(
             _render_table(
-                ["dispatch", "chunks", "wall s", "compute s", "queue s",
-                 "pickle s", "in KiB", "accounted"],
+                ["dispatch", "chunks", "wall s", "pool start s",
+                 "compute s", "queue s", "pickle s", "in KiB", "accounted"],
                 dispatch_rows,
             )
         )
@@ -400,6 +401,7 @@ class RunReport:
         compute = float(totals.get("compute_seconds", 0.0))
         queue = float(totals.get("queue_seconds", 0.0))
         pickle_s = float(totals.get("pickle_seconds", 0.0))
+        pool_start = float(totals.get("pool_start_seconds", 0.0))
 
         def share(seconds: float) -> str:
             return f"{seconds / wall:6.1%} of wall" if wall > 0 else ""
@@ -417,6 +419,10 @@ class RunReport:
         lines.append(
             f"  queue wait                 {queue:.4f} s  {share(queue)}"
             .rstrip()
+        )
+        lines.append(
+            f"  pool start                 {pool_start:.4f} s  "
+            f"{share(pool_start)}".rstrip()
         )
         peak = totals.get("tracemalloc_peak_bytes")
         if peak is not None:

@@ -250,7 +250,8 @@ class DispatchProfile:
     """Aggregate accounting for one traced ``map_chunks`` dispatch.
 
     The ``*_seconds`` buckets partition the parent's sequential wall
-    time inside the dispatch span: payload pickling, pool submission,
+    time inside the dispatch span: payload pickling, starting (or
+    rebuilding) the warm worker pool, pool submission,
     blocking collection (during which workers compute), pool teardown,
     in-process crash retries, result unpickling, and the trace merge.
     Their sum over the dispatch wall is the ``accounted_fraction`` the
@@ -262,6 +263,7 @@ class DispatchProfile:
     map_call: int
     wall_seconds: float = 0.0
     serialize_seconds: float = 0.0
+    pool_start_seconds: float = 0.0
     submit_seconds: float = 0.0
     collect_seconds: float = 0.0
     teardown_seconds: float = 0.0
@@ -273,6 +275,7 @@ class DispatchProfile:
     def accounted_seconds(self) -> float:
         return (
             self.serialize_seconds
+            + self.pool_start_seconds
             + self.submit_seconds
             + self.collect_seconds
             + self.teardown_seconds
@@ -293,6 +296,7 @@ class DispatchProfile:
             "chunks": len(self.chunks),
             "wall_seconds": self.wall_seconds,
             "serialize_seconds": self.serialize_seconds,
+            "pool_start_seconds": self.pool_start_seconds,
             "submit_seconds": self.submit_seconds,
             "collect_seconds": self.collect_seconds,
             "teardown_seconds": self.teardown_seconds,
@@ -378,6 +382,9 @@ class ParallelProfile:
             "dispatches": len(self.dispatches),
             "chunks": len(chunk_rows),
             "wall_seconds": wall,
+            "pool_start_seconds": sum(
+                d.pool_start_seconds for d in self.dispatches
+            ),
             "compute_seconds": sum(
                 row["compute_seconds"] for row in chunk_rows
             ),

@@ -476,9 +476,9 @@ class MultiprocessExecutor(Executor):
         results (measured), derives per-chunk queue wait from done-
         callback completion stamps, merges worker events keyed by chunk
         index, and records a :class:`DispatchProfile`. The parent-side
-        buckets (serialize/submit/collect/teardown/retry/deserialize/
-        merge) partition the dispatch span's wall time, which is what
-        keeps ``accounted_fraction`` >= 0.9.
+        buckets (serialize/pool-start/submit/collect/teardown/retry/
+        deserialize/merge) partition the dispatch span's wall time,
+        which is what keeps ``accounted_fraction`` >= 0.9.
         """
         clock = tracer.clock
         stats = self.stats
@@ -494,7 +494,7 @@ class MultiprocessExecutor(Executor):
         failed: List[int] = []
         timed_out: List[int] = []
         lost: List[int] = []
-        submit_seconds = collect_seconds = 0.0
+        pool_start_seconds = submit_seconds = collect_seconds = 0.0
         teardown_seconds = retry_seconds = 0.0
         with tracer.span(label, executor=self.name, chunks=count):
             wall_start = clock.now()
@@ -515,7 +515,9 @@ class MultiprocessExecutor(Executor):
                 completed_at[0] = clock.now()
                 collect_seconds = completed_at[0] - submitted_at[0]
             else:
+                t0 = clock.now()
                 pool = self._ensure_pool()
+                pool_start_seconds = clock.now() - t0
                 try:
                     t0 = clock.now()
                     futures: List["Future[Any]"] = []
@@ -665,6 +667,7 @@ class MultiprocessExecutor(Executor):
                 map_call=call_index,
                 wall_seconds=wall_seconds,
                 serialize_seconds=sum(chunk_serialize),
+                pool_start_seconds=pool_start_seconds,
                 submit_seconds=submit_seconds,
                 collect_seconds=collect_seconds,
                 teardown_seconds=teardown_seconds,
