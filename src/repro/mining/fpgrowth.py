@@ -5,11 +5,14 @@ support meets ``minsup`` and that no frequent superset subsumes
 (Section 4.1.1). The paper mines them with Borgelt's C implementation of
 FP-Growth; this module is a from-scratch pure-Python equivalent:
 
-* :func:`frequent_itemsets` — classic FP-Growth, all frequent itemsets.
-* :func:`maximal_frequent_itemsets` — FPMax: FP-Growth with single-path
-  short-circuiting and MFI-subsumption pruning, returning only maximal
-  sets. An alternative "mine all, filter maximal" path exists for the
-  ablation benchmark (``maximal_via_filter``).
+* :func:`frequent_itemsets` — classic FP-Growth over an
+  :class:`~repro.mining.fptree.FPTree`, all frequent itemsets.
+* :func:`maximal_frequent_itemsets` — FPMax: the same recursion with
+  single-path short-circuiting and MFI-subsumption pruning, returning
+  only maximal sets. It runs on projected databases (distinct rows with
+  multiplicities) rather than node graphs. The "mine all, filter
+  maximal" path (``maximal_via_filter``) is the independent reference
+  behind the tests and the ablation benchmark.
 
 Items may be any hashable values; they are mapped to dense integer ids
 ordered by descending global support internally.
@@ -17,9 +20,12 @@ ordered by descending global support internally.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Collection,
+    DefaultDict,
     Dict,
     FrozenSet,
     Generic,
@@ -28,7 +34,7 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
+    Sequence,
     Tuple,
     TypeVar,
 )
@@ -71,8 +77,8 @@ class Itemset(Generic[T]):
 class _Vocabulary(Generic[T]):
     """Bidirectional mapping item value <-> dense int id, frequency-ordered.
 
-    Id 0 is the globally most frequent item; the id order doubles as the
-    canonical FP-tree sort order.
+    Id 0 is the globally most frequent item; ascending ids are the
+    canonical row (and FP-tree path) order.
     """
 
     def __init__(self, transactions: List[List[T]], minsup: int) -> None:
@@ -89,7 +95,6 @@ class _Vocabulary(Generic[T]):
         self.id_of: Dict[T, int] = {
             value: index for index, value in enumerate(self.value_of)
         }
-        self.order: Dict[int, int] = {index: index for index in range(len(frequent))}
 
     def encode(self, transaction: Collection[T]) -> List[int]:
         return sorted(
@@ -133,7 +138,7 @@ def frequent_itemsets(
     _validate(materialized, minsup)
     tree, vocabulary = _build_tree(materialized, minsup)
     results: List[Itemset[T]] = []
-    for ids, support in _fp_growth(tree, [], minsup, vocabulary.order):
+    for ids, support in _fp_growth(tree, [], minsup):
         results.append(Itemset(vocabulary.decode(ids), support))
     return results
 
@@ -142,7 +147,6 @@ def _fp_growth(
     tree: FPTree,
     suffix: List[int],
     minsup: int,
-    order: Dict[int, int],
 ) -> Iterator[Tuple[List[int], int]]:
     # Process items least-frequent first (highest id first).
     for item in sorted(tree.items(), reverse=True):
@@ -151,52 +155,91 @@ def _fp_growth(
             continue
         itemset = suffix + [item]
         yield itemset, support
-        conditional = FPTree.from_conditional(
-            tree.prefix_paths(item), minsup, order
-        )
+        conditional = FPTree.from_conditional(tree.prefix_paths(item), minsup)
         if not conditional.is_empty():
-            yield from _fp_growth(conditional, itemset, minsup, order)
+            yield from _fp_growth(conditional, itemset, minsup)
 
 
 # ---------------------------------------------------------------------------
 # FPMax (maximal frequent itemsets)
 # ---------------------------------------------------------------------------
+#
+# FPMax runs on *projected databases* instead of conditional FP-trees: a
+# database maps each distinct ascending-id row to its multiplicity, which
+# is exactly the information an FP-tree stores (the tree is the prefix
+# trie of those rows). Every tree query FPMax needs has a row-level twin:
+#
+# * an item's prefix paths are the row prefixes before it (one pass over
+#   the rows collects them for every item);
+# * the conditional tree of an item is the database of those prefixes,
+#   restricted to the items frequent among them;
+# * the tree is a single path iff every row is a prefix of the longest
+#   row, and the path's support is that row's multiplicity.
+#
+# Visit order, candidate order, supports and budget charges are those of
+# the FP-tree formulation, so the MFI list is identical, order included
+# (pinned by tests/test_golden_mfis.py).
+
+Row = Tuple[int, ...]
+#: Ascending-id row -> multiplicity.
+ProjectedDB = Dict[Row, int]
+#: An item's conditional pattern base: (row prefix before it, count).
+PatternBase = List[Tuple[Row, int]]
 
 
 class _MFIStore:
     """Stores discovered MFIs and answers subsumption queries.
 
     ``is_subsumed(candidate)`` is true when some stored MFI is a superset
-    of (or equal to) the candidate. An inverted index item → MFI ids keeps
-    the check near-constant for typical candidates.
+    of (or equal to) the candidate. Each item maps to a bitmask over the
+    stored MFIs (bit *i* set when MFI *i* contains the item), so the check
+    ANDs one mask per candidate item and stops at the first empty result.
     """
 
     def __init__(self) -> None:
         self.itemsets: List[Tuple[FrozenSet[int], int]] = []
-        self._by_item: Dict[int, Set[int]] = {}
+        self._by_item: Dict[int, int] = {}
 
     @pure
     def is_subsumed(self, candidate: FrozenSet[int]) -> bool:
-        # The surviving-ids set is a pure intersection over the candidate's
-        # posting lists, so the (hash-seed-dependent) visit order of
-        # ``candidate`` cannot change the outcome.
-        hits: Optional[Set[int]] = None
+        # The surviving-MFI mask is a pure intersection over the
+        # candidate's item masks, so the (hash-seed-dependent) visit
+        # order of ``candidate`` cannot change the outcome.
+        if not candidate:  # any stored MFI subsumes the empty set
+            return bool(self.itemsets)
+        by_item = self._by_item
+        hits = -1
         for item in candidate:
-            postings = self._by_item.get(item)
-            if not postings:
-                return False
-            hits = set(postings) if hits is None else hits & postings
+            hits &= by_item.get(item, 0)
             if not hits:
                 return False
-        if hits is None:  # empty candidate: any stored MFI subsumes it
-            return bool(self.itemsets)
         return True
 
     def add(self, candidate: FrozenSet[int], support: int) -> None:
-        index = len(self.itemsets)
+        bit = 1 << len(self.itemsets)
         self.itemsets.append((candidate, support))
+        by_item = self._by_item
         for item in candidate:
-            self._by_item.setdefault(item, set()).add(index)
+            by_item[item] = by_item.get(item, 0) | bit
+
+
+def _projected_database(rows: Iterable[Tuple[Sequence[int], int]]) -> ProjectedDB:
+    """Sum the counts of the distinct non-empty ascending-id rows."""
+    database: ProjectedDB = {}
+    for row, count in rows:
+        if row:
+            key = tuple(row)
+            database[key] = database.get(key, 0) + count
+    return database
+
+
+def _prefix_bases(database: ProjectedDB) -> Dict[int, PatternBase]:
+    """Item -> its conditional pattern base, in one pass over the rows."""
+    bases: DefaultDict[int, PatternBase] = defaultdict(list)
+    for row, count in database.items():
+        for position, item in enumerate(row):
+            bases[item].append((row[:position], count))
+    return bases
 
 
 @hot_path
@@ -211,9 +254,9 @@ def maximal_frequent_itemsets(
     """Mine maximal frequent itemsets (FPMax).
 
     Returns MFIs as :class:`Itemset` values; the support reported is the
-    support of the maximal set itself. An optional tracer times tree
-    construction vs. the FPMax recursion and gauges the tree size —
-    Fig. 12's dominant cost, broken down.
+    support of the maximal set itself. An optional tracer times building
+    the top-level projected database vs. the FPMax recursion and gauges
+    the database size — Fig. 12's dominant cost, broken down.
 
     ``budget`` bounds the FPMax recursion: each node expansion charges
     one unit, and an exhausted meter stops the search, returning the
@@ -239,13 +282,16 @@ def maximal_frequent_itemsets(
         and (budget is None or not budget.enabled)
     ):
         return _maximal_parallel(materialized, minsup, executor, tracer)
-    with tracer.span("fpgrowth.build_tree", minsup=minsup):
-        tree, vocabulary = _build_tree(materialized, minsup)
-    tracer.gauge("fpgrowth.tree_nodes", tree.node_count())
+    with tracer.span("fpgrowth.project", minsup=minsup):
+        vocabulary: _Vocabulary[T] = _Vocabulary(materialized, minsup)
+        database = _projected_database(
+            zip(map(vocabulary.encode, materialized), repeat(1))
+        )
+    tracer.gauge("fpgrowth.distinct_transactions", len(database))
     tracer.gauge("fpgrowth.vocabulary", len(vocabulary.value_of))
     store = _MFIStore()
     with tracer.span("fpgrowth.fpmax", minsup=minsup):
-        _fpmax(tree, [], minsup, vocabulary.order, store, budget)
+        _fpmax(database, [], minsup, store, budget)
     if budget is not None and budget.degraded:
         tracer.count("fpgrowth.budget_exhausted", 1)
     tracer.count("fpgrowth.mfis", len(store.itemsets))
@@ -256,47 +302,74 @@ def maximal_frequent_itemsets(
 
 @hot_path
 def _fpmax(
-    tree: FPTree,
+    database: ProjectedDB,
     suffix: List[int],
     minsup: int,
-    order: Dict[int, int],
     store: _MFIStore,
     budget: Optional[BudgetMeter] = None,
 ) -> None:
-    if tree.is_empty():
+    if not database:
         return
     if budget is not None:
         if budget.exhausted():
             return
         budget.charge()
-    single = tree.single_path()
-    if single is not None:
-        candidate = frozenset(suffix) | {item for item, _ in single}
+    longest = max(database, key=len)
+    if all(longest[: len(row)] == row for row in database):
+        # Single path: the whole path plus the suffix is one candidate.
+        candidate = frozenset(suffix).union(longest)
         if not store.is_subsumed(candidate):
-            support = single[-1][1]
-            store.add(candidate, support)
+            store.add(candidate, database[longest])
         return
+    bases = _prefix_bases(database)
     # Least-frequent items first so long candidates are found early and
     # subsume the rest.
-    for item in sorted(tree.items(), reverse=True):
-        support = tree.support_of(item)
-        if support < minsup:
-            continue
-        new_suffix = suffix + [item]
-        conditional = FPTree.from_conditional(tree.prefix_paths(item), minsup, order)
-        if conditional.is_empty():
-            candidate = frozenset(new_suffix)
-            if not store.is_subsumed(candidate):
-                store.add(candidate, support)
-            continue
-        # MFI-tree pruning: if the suffix plus *everything* that could
-        # still be added is already covered, the subtree is fruitless.
-        head = frozenset(new_suffix) | set(conditional.items())
-        if store.is_subsumed(head):
-            continue
-        _fpmax(conditional, new_suffix, minsup, order, store, budget)
+    for item in sorted(bases, reverse=True):
+        _expand(item, bases[item], suffix, minsup, store, budget)
         if budget is not None and budget.degraded:
             return
+
+
+@hot_path
+def _expand(
+    item: int,
+    base: PatternBase,
+    suffix: List[int],
+    minsup: int,
+    store: _MFIStore,
+    budget: Optional[BudgetMeter] = None,
+) -> None:
+    """Extend ``suffix`` by ``item`` given the item's pattern base.
+
+    Conditional supports are counted first, so the leaf case (nothing
+    frequent left) and the head check (``suffix + item + everything still
+    frequent`` is already covered) are settled before the conditional
+    database is built.
+    """
+    support = 0
+    conditional: Dict[int, int] = {}
+    for prefix, count in base:
+        support += count
+        for other in prefix:
+            conditional[other] = conditional.get(other, 0) + count
+    if support < minsup:
+        return
+    new_suffix = suffix + [item]
+    frequent = {other for other, total in conditional.items() if total >= minsup}
+    if not frequent:
+        candidate = frozenset(new_suffix)
+        if not store.is_subsumed(candidate):
+            store.add(candidate, support)
+        return
+    # MFI-tree pruning: if the suffix plus *everything* that could still
+    # be added is already covered, the subtree is fruitless.
+    if store.is_subsumed(frozenset(new_suffix).union(frequent)):
+        return
+    projected = _projected_database(
+        (tuple(filter(frequent.__contains__, prefix)), count)
+        for prefix, count in base
+    )
+    _fpmax(projected, new_suffix, minsup, store, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +382,8 @@ def _fpmax(
 # Sharding the top-level items therefore partitions the candidate space:
 # each itemset's generating shard is uniquely determined by its max id,
 # so shard-local mining finds every serial candidate exactly once, with
-# its true support (supports come from the full tree, which every worker
-# rebuilds from the complete encoded transaction list). Shard-local
+# its true support (supports come from the full database, which every
+# worker rebuilds from the complete encoded transaction list). Shard-local
 # subsumption pruning is *weaker* than serial pruning — a shard cannot
 # see another shard's supersets — which only ever leaves extra
 # non-maximal candidates behind; the global merge removes exactly those.
@@ -319,42 +392,22 @@ def _fpmax(
 @picklable_work
 @fork_safe
 def _mine_shard(
-    payload: Tuple[List[List[int]], int, int, List[int]]
+    payload: Tuple[List[List[int]], int, List[int]]
 ) -> List[Tuple[FrozenSet[int], int]]:
     """FPMax over the top-level items of one shard (pool-worker body).
 
-    Rebuilds the FP-tree from the encoded transactions — cheaper and
-    simpler than pickling a node graph with parent links — then runs the
-    serial top-level loop restricted to the shard's item ids. Module-
-    level and argument-determined, so a chunk computes the same result
-    in a worker, in-process, or in a crash retry.
+    Rebuilds the projected database from the encoded transactions, then
+    runs the serial top-level loop restricted to the shard's item ids.
+    Module-level and argument-determined, so a chunk computes the same
+    result in a worker, in-process, or in a crash retry.
     """
-    encoded, minsup, n_items, shard = payload
-    tree = FPTree()
-    for transaction in encoded:
-        tree.insert(transaction)
-    order = {item: item for item in range(n_items)}
+    encoded, minsup, shard = payload
+    bases = _prefix_bases(_projected_database(zip(encoded, repeat(1))))
     store = _MFIStore()
-    present = set(tree.items())
     for item in sorted(shard, reverse=True):
-        if item not in present:
-            continue
-        support = tree.support_of(item)
-        if support < minsup:
-            continue
-        suffix = [item]
-        conditional = FPTree.from_conditional(
-            tree.prefix_paths(item), minsup, order
-        )
-        if conditional.is_empty():
-            candidate = frozenset(suffix)
-            if not store.is_subsumed(candidate):
-                store.add(candidate, support)
-            continue
-        head = frozenset(suffix) | set(conditional.items())
-        if store.is_subsumed(head):
-            continue
-        _fpmax(conditional, suffix, minsup, order, store)
+        base = bases.get(item)
+        if base is not None:
+            _expand(item, base, [], minsup, store)
     return store.itemsets
 
 
@@ -408,7 +461,7 @@ def _maximal_parallel(
         [item for item in range(n_items) if item % n_shards == index]
         for index in range(n_shards)
     ]
-    payloads = [(encoded, minsup, n_items, shard) for shard in shards]
+    payloads = [(encoded, minsup, shard) for shard in shards]
     with tracer.span("fpgrowth.fpmax", minsup=minsup, shards=n_shards):
         shard_results = executor.map_chunks(
             _mine_shard, payloads, tracer=tracer, label="fpgrowth.shards"

@@ -1,4 +1,9 @@
-"""FP-tree data structure (Han et al.), the substrate of FP-Growth/FPMax.
+"""FP-tree data structure (Han et al.), the substrate of FP-Growth.
+
+FPMax (:func:`repro.mining.fpgrowth.maximal_frequent_itemsets`) runs on
+projected row databases instead; this tree backs the classic
+:func:`~repro.mining.fpgrowth.frequent_itemsets` miner, which is the
+independent reference behind ``maximal_via_filter``.
 
 The tree stores transactions as prefix-shared paths of items ordered by
 descending global frequency. Items are integer ids — callers map their
@@ -61,21 +66,6 @@ class FPTree:
     def is_empty(self) -> bool:
         return not self.root.children
 
-    def node_count(self) -> int:
-        """Number of item nodes (root excluded) — the obs tree-size gauge.
-
-        FP-tree size is the memory/time driver of Fig. 12; observability
-        reads it once per built tree rather than instrumenting every
-        ``insert`` on the hot path.
-        """
-        total = 0
-        stack = list(self.root.children.values())
-        while stack:
-            node = stack.pop()
-            total += 1
-            stack.extend(node.children.values())
-        return total
-
     def items(self) -> List[int]:
         """Items present in the tree."""
         return list(self.header)
@@ -108,33 +98,17 @@ class FPTree:
                 paths.append((path, node.count))
         return paths
 
-    def single_path(self) -> Optional[List[Tuple[int, int]]]:
-        """If the tree is a single chain, return its (item, count) list.
-
-        FPMax short-circuits single-path trees: the whole path (plus the
-        current suffix) is one maximal candidate.
-        """
-        path: List[Tuple[int, int]] = []
-        node = self.root
-        while node.children:
-            if len(node.children) > 1:
-                return None
-            (node,) = node.children.values()
-            path.append((node.item, node.count))
-        return path
-
     @classmethod
     def from_conditional(
         cls,
         paths: Sequence[Tuple[List[int], int]],
         minsup: int,
-        order: Dict[int, int],
     ) -> "FPTree":
         """Build a conditional FP-tree from a pattern base.
 
         Items failing ``minsup`` within the base are dropped; surviving
-        items keep the *global* frequency order (``order`` maps item →
-        rank, lower rank = more frequent) so the tree stays canonical.
+        items keep the *global* frequency order (ascending ids, lower id
+        = more frequent) so the tree stays canonical.
         """
         support: Dict[int, int] = {}
         for path, count in paths:
@@ -144,7 +118,7 @@ class FPTree:
         tree = cls()
         for path, count in paths:
             filtered = [item for item in path if item in keep]
-            filtered.sort(key=lambda item: order[item])
+            filtered.sort()
             if filtered:
                 tree.insert(filtered, count)
         return tree

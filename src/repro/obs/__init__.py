@@ -1,7 +1,7 @@
 """Observability: tracing spans, counters, and run reports.
 
 The paper's deployment story (Sections 6-7) is a performance story —
-MFIBlocks minsup iterations, FP-tree construction, CS/SN pruning, and
+MFIBlocks minsup iterations, FPMax mining, CS/SN pruning, and
 ADTree ranking dominate runtime (Fig. 12) — and optimizing any of it
 requires knowing where time goes first. This package is that substrate:
 

@@ -15,7 +15,7 @@ intermediate object layer. Schema version 1 defines five event kinds:
     A monotone accumulation: occurrences of a named thing (records,
     MFIs mined, pairs dropped). Aggregation sums values per name.
 ``gauge``
-    A point-in-time measurement (FP-tree node count, vocabulary size).
+    A point-in-time measurement (distinct transactions, vocabulary size).
     Aggregation keeps the last value per name.
 
 Determinism contract: for a deterministic workload, two runs emit the

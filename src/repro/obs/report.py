@@ -20,7 +20,7 @@ Report JSON schema (version :data:`~repro.obs.events.SCHEMA_VERSION`)::
         ...
       ],
       "counters": {"pipeline.records": 180, ...},   # sorted keys
-      "gauges": {"fpgrowth.tree_nodes": 412.0, ...},
+      "gauges": {"fpgrowth.distinct_transactions": 412.0, ...},
       "config": {...},               # PipelineConfig echo (or {})
       "corpus": {...},               # corpus stats (or {})
       "resilience": {...},           # degraded flag, checkpoint summary

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mining.fpgrowth import (
+    _MFIStore,
     frequent_itemsets,
     maximal_frequent_itemsets,
     maximal_via_filter,
@@ -136,3 +137,18 @@ class TestMaximalItemsets:
         result = maximal_frequent_itemsets([{"a", "b"}, {"a", "b"}], 2)
         assert len(result) == 1
         assert len(result[0]) == 2
+
+
+id_sets = st.frozensets(st.integers(min_value=0, max_value=9), max_size=6)
+
+
+class TestMFIStore:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(id_sets, max_size=12), st.lists(id_sets, max_size=12))
+    def test_is_subsumed_matches_brute_force(self, stored, queries):
+        store = _MFIStore()
+        for support, itemset in enumerate(stored, start=1):
+            store.add(itemset, support)
+        for candidate in queries + stored:
+            expected = any(candidate <= s for s, _ in store.itemsets)
+            assert store.is_subsumed(candidate) is expected

@@ -880,7 +880,7 @@ def render_baseline(
         "",
         "Regenerate after intentional changes with:",
         "",
-        "    repro lint src tools --perf \\",
+        "    python -m tools.reprolint src tools --perf \\",
         f"        --profile-report {report_path} \\",
         "        --write-perf-baseline docs/PERF_LINT_BASELINE.md",
         "",

@@ -74,8 +74,8 @@ DECLARED_SPAN_SITES: Dict[str, Tuple[str, ...]] = {
     "mfiblocks.mine": (
         "repro.mining.fpgrowth:maximal_frequent_itemsets",
     ),
-    "fpgrowth.build_tree": (
-        "repro.mining.fpgrowth:_build_tree",
+    "fpgrowth.project": (
+        "repro.mining.fpgrowth:_projected_database",
     ),
     "fpgrowth.fpmax": (
         "repro.mining.fpgrowth:_fpmax",
