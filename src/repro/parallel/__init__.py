@@ -41,7 +41,7 @@ from repro.parallel.shared import (
 from repro.parallel.work import (
     classify_pair_chunk,
     classify_pair_chunk_shared,
-    run_traced_chunk,
+    run_chunk,
     score_pair_chunk,
     score_pair_chunk_shared,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "shared_state_supported",
     "classify_pair_chunk",
     "classify_pair_chunk_shared",
-    "run_traced_chunk",
+    "run_chunk",
     "score_pair_chunk",
     "score_pair_chunk_shared",
 ]

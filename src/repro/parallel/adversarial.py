@@ -86,15 +86,9 @@ class AdversarialScheduleExecutor(Executor):
         shared_bytes: Optional[int] = None,
     ) -> List[Any]:
         tracer = tracer if tracer is not None else NULL_TRACER
-        stats = self.stats
-        call_index = stats.map_calls
-        stats.map_calls += 1
         work = list(payloads)
-        stats.chunks += len(work)
-        stats.inline_chunks += len(work)
-        if shared_bytes is not None:
-            stats.shared_dispatches += 1
-            stats.bytes_not_pickled += shared_bytes * len(work)
+        call_index = self._count_dispatch(work, shared_bytes)
+        self.stats.inline_chunks += len(work)
         if not work:
             self.schedule_log.append([])
             return []

@@ -40,7 +40,7 @@ import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.contracts import deterministic, impure
@@ -54,7 +54,7 @@ from repro.obs.worker import (
 )
 from repro.parallel.chunking import fixed_chunks, partition_evenly
 from repro.parallel.shared import shared_generation, shared_state_supported
-from repro.parallel.work import run_traced_chunk
+from repro.parallel.work import run_chunk
 from repro.resilience.faults import (
     WorkerCrashPlan,
     WorkerHangPlan,
@@ -99,20 +99,7 @@ class ExecutorStats:
     pools_created: int = 0
 
     def to_echo(self) -> Dict[str, int]:
-        return {
-            "map_calls": self.map_calls,
-            "chunks": self.chunks,
-            "worker_chunks": self.worker_chunks,
-            "inline_chunks": self.inline_chunks,
-            "worker_retries": self.worker_retries,
-            "kills_armed": self.kills_armed,
-            "hangs_armed": self.hangs_armed,
-            "chunks_timed_out": self.chunks_timed_out,
-            "shared_dispatches": self.shared_dispatches,
-            "bytes_not_pickled": self.bytes_not_pickled,
-            "shared_segment_bytes": self.shared_segment_bytes,
-            "pools_created": self.pools_created,
-        }
+        return asdict(self)
 
 
 class Executor(abc.ABC):
@@ -159,6 +146,23 @@ class Executor(abc.ABC):
         if self.chunk_size is not None:
             return fixed_chunks(items, self.chunk_size)
         return partition_evenly(items, self.workers)
+
+    def _count_dispatch(
+        self, work: Sequence[Any], shared_bytes: Optional[int]
+    ) -> int:
+        """Account one ``map_chunks`` call; returns its dispatch index.
+
+        Every executor counts the call and its chunks; a non-empty
+        shared-state dispatch also counts the pickle bytes it omits.
+        """
+        stats = self.stats
+        call_index = stats.map_calls
+        stats.map_calls += 1
+        stats.chunks += len(work)
+        if shared_bytes is not None and work:
+            stats.shared_dispatches += 1
+            stats.bytes_not_pickled += shared_bytes * len(work)
+        return call_index
 
     def to_echo(self) -> Dict[str, Any]:
         """JSON-safe self-description for run reports and debugging."""
@@ -218,10 +222,8 @@ class SerialExecutor(Executor):
         shared_bytes: Optional[int] = None,
     ) -> List[Any]:
         tracer = tracer if tracer is not None else NULL_TRACER
-        stats = self.stats
-        stats.map_calls += 1
-        stats.chunks += len(payloads)
-        stats.inline_chunks += len(payloads)
+        self._count_dispatch(payloads, shared_bytes)
+        self.stats.inline_chunks += len(payloads)
         with tracer.span(label, executor=self.name, chunks=len(payloads)):
             return [func(payload) for payload in payloads]
 
@@ -231,18 +233,16 @@ class MultiprocessExecutor(Executor):
 
     Chunk *results* are collected in submission order, so completion
     order — the one thing the OS scheduler controls — never reaches a
-    caller. With a disabled tracer (the default) workers run the bare
-    chunk function and one ``label`` span worth of stats is all the
-    parent records. With tracing enabled the dispatch goes through
-    :meth:`_map_chunks_traced`: each chunk runs under a
-    :class:`~repro.obs.worker.WorkerTracer` whose buffered events ship
-    back with the result and merge into the parent trace keyed by chunk
-    index, while the executor's :class:`~repro.obs.worker.
-    ParallelProfile` ledger records per-chunk pickle bytes/time, queue
-    wait vs compute, and (with ``profile_memory``) tracemalloc peaks.
-    Both paths run the same module-level chunk function on the same
-    payloads, so traced output is byte-identical to untraced
-    (``tests/test_worker_trace.py``).
+    caller. Every chunk takes one path: the parent pickles its payload
+    and :func:`~repro.parallel.work.run_chunk` runs it, in a pool
+    worker, inline (a lone chunk gains nothing from a pool) or in an
+    in-process retry, shipping back ``(result pickle, worker trace)``.
+    The tracer decides only what is recorded, never what runs: an
+    enabled one gets the worker events merged in keyed by chunk index,
+    and :attr:`profile` (a :class:`~repro.obs.worker.ParallelProfile`)
+    gets per-chunk pickle bytes/time, queue wait vs compute, and (with
+    ``profile_memory``) tracemalloc peaks. Traced output is therefore
+    byte-identical to untraced (``tests/test_worker_trace.py``).
 
     ``worker_fault`` is the chaos hook: when the targeted chunk comes
     up, :func:`~repro.resilience.faults.kill_current_worker` is
@@ -304,9 +304,10 @@ class MultiprocessExecutor(Executor):
         A pool is reusable while the shared-state registry generation
         it forked under is current — workers inherit the registry at
         fork, so a publish/close after the fork makes their snapshot
-        stale. Faulted or timed-out pools are discarded by the dispatch
-        paths. The pool is always ``self.workers`` wide (workers spawn
-        lazily, so an undersized dispatch never pays for idle slots).
+        stale. Faulted or timed-out pools are discarded by
+        :meth:`map_chunks`. The pool is always ``self.workers`` wide
+        (workers spawn lazily, so an undersized dispatch never pays for
+        idle slots).
         """
         generation = shared_generation()
         pool = self._pool
@@ -341,9 +342,10 @@ class MultiprocessExecutor(Executor):
 
     @impure(
         reason="spawns OS worker processes whose completion order is "
-               "scheduler-dependent; callers restore determinism by "
-               "collecting in submission order and merging order-"
-               "independently (docs/PARALLELISM.md)"
+               "scheduler-dependent, and measures queue wait and worker "
+               "pids; results and merged trace content stay schedule-"
+               "independent (submission-order collection, chunk-index-"
+               "keyed trace merge, docs/PARALLELISM.md)"
     )
     def map_chunks(
         self,
@@ -353,178 +355,55 @@ class MultiprocessExecutor(Executor):
         label: str = "parallel.map",
         shared_bytes: Optional[int] = None,
     ) -> List[Any]:
+        """Run every chunk through :func:`run_chunk`; submission order.
+
+        The parent-side buckets (serialize/pool-start/submit/collect/
+        teardown/retry/deserialize/merge) partition the dispatch span's
+        wall time, which is what keeps a traced dispatch's
+        ``accounted_fraction`` >= 0.9. They cost a clock read each and
+        reach :attr:`profile` only when ``tracer`` is enabled.
+        """
         tracer = tracer if tracer is not None else NULL_TRACER
-        stats = self.stats
-        call_index = stats.map_calls
-        stats.map_calls += 1
         work = list(payloads)
-        stats.chunks += len(work)
+        call_index = self._count_dispatch(work, shared_bytes)
         if not work:
             return []
-        if shared_bytes is not None:
-            stats.shared_dispatches += 1
-            stats.bytes_not_pickled += shared_bytes * len(work)
-        if tracer.enabled:
-            return self._map_chunks_traced(
-                func, work, tracer, label, call_index
-            )
-        if (
-            len(work) == 1
-            and self.worker_fault is None
-            and self.worker_hang is None
-        ):
-            # One chunk gains nothing from a pool; skip the process cost.
-            stats.inline_chunks += 1
-            with tracer.span(label, executor=self.name, chunks=1):
-                return [func(work[0])]
-
-        results: Dict[int, Any] = {}
-        failed: List[int] = []
-        timed_out: List[int] = []
-        with tracer.span(label, executor=self.name, chunks=len(work)):
-            pool = self._ensure_pool()
-            try:
-                futures: List["Future[Any]"] = []
-                try:
-                    for index, payload in enumerate(work):
-                        fault = self.worker_fault
-                        hang = self.worker_hang
-                        if fault is not None and fault.should_kill(
-                            call_index, index
-                        ):
-                            stats.kills_armed += 1
-                            futures.append(pool.submit(kill_current_worker))
-                        elif hang is not None and hang.should_hang(
-                            call_index, index
-                        ):
-                            stats.hangs_armed += 1
-                            futures.append(
-                                pool.submit(hang_worker, hang.seconds)
-                            )
-                        else:
-                            futures.append(pool.submit(func, payload))
-                except BrokenProcessPool:
-                    # A warm worker died while chunks were still being
-                    # submitted; everything unsubmitted is lost and
-                    # recomputed below, like any other broken-pool loss.
-                    pass
-                for index in range(len(work)):
-                    if index >= len(futures):
-                        failed.append(index)
-                        continue
-                    try:
-                        if self.timeout is not None:
-                            results[index] = futures[index].result(
-                                timeout=self.timeout
-                            )
-                        else:
-                            results[index] = futures[index].result()
-                    except BrokenProcessPool:
-                        # The worker died before returning this chunk;
-                        # remember it and recompute below. Anything
-                        # else (a real exception raised by ``func``)
-                        # propagates unchanged.
-                        failed.append(index)
-                    except FuturesTimeout:
-                        # The worker is wedged, not dead: same lost-
-                        # chunk treatment, but the pool must not be
-                        # waited on at shutdown.
-                        timed_out.append(index)
-                        futures[index].cancel()
-            finally:
-                # A clean dispatch keeps the pool warm for the next
-                # call. A broken pool is useless and a hung worker
-                # must never park shutdown — discard without waiting
-                # (not-yet-started futures are cancelled).
-                if failed or timed_out:
-                    self._discard_pool(wait=False)
-            lost = sorted(failed + timed_out)
-            stats.worker_chunks += len(work) - len(lost)
-            for index in lost:
-                # Deterministic retry: the same func + payload yields
-                # the same result the worker would have produced.
-                results[index] = func(work[index])
-                stats.worker_retries += 1
-            stats.chunks_timed_out += len(timed_out)
-            tracer.count("parallel.chunks", len(work))
-            if lost:
-                tracer.count("parallel.worker_retries", len(lost))
-            if timed_out:
-                tracer.count("parallel.chunks_timed_out", len(timed_out))
-        return [results[index] for index in range(len(work))]
-
-    @impure(
-        reason="measures scheduler-dependent queue wait and worker pids; "
-               "chunk results and merged trace content stay schedule-"
-               "independent (submission-order collection, chunk-index-"
-               "keyed trace merge)"
-    )
-    def _map_chunks_traced(
-        self,
-        func: ChunkFunc,
-        work: List[Any],
-        tracer: Tracer,
-        label: str,
-        call_index: int,
-    ) -> List[Any]:
-        """Traced dispatch: explicit pickling + worker-trace round trip.
-
-        The parent pickles payloads itself — instead of letting the
-        pool do it invisibly — so payload bytes and serialize time are
-        measurable; workers run :func:`run_traced_chunk`, which ships
-        back ``(result pickle, trace buffer)``; the parent unpickles
-        results (measured), derives per-chunk queue wait from done-
-        callback completion stamps, merges worker events keyed by chunk
-        index, and records a :class:`DispatchProfile`. The parent-side
-        buckets (serialize/pool-start/submit/collect/teardown/retry/
-        deserialize/merge) partition the dispatch span's wall time,
-        which is what keeps ``accounted_fraction`` >= 0.9.
-        """
-        clock = tracer.clock
         stats = self.stats
+        clock = tracer.clock
         count = len(work)
+        profile_memory = self.profile_memory and tracer.enabled
         inline = (
             count == 1
             and self.worker_fault is None
             and self.worker_hang is None
         )
         wrapped: Dict[int, Tuple[bytes, Dict[str, Any]]] = {}
-        submitted_at: List[float] = [0.0] * count
+        submitted_at: Dict[int, float] = {}
         completed_at: Dict[int, float] = {}
         failed: List[int] = []
         timed_out: List[int] = []
-        lost: List[int] = []
         pool_start_seconds = submit_seconds = collect_seconds = 0.0
         teardown_seconds = retry_seconds = 0.0
         with tracer.span(label, executor=self.name, chunks=count):
             wall_start = clock.now()
-            chunk_serialize: List[float] = []
+            serialize_seconds: List[float] = []
             blobs: List[bytes] = []
             for payload in work:
                 t0 = clock.now()
                 blobs.append(
                     pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                 )
-                chunk_serialize.append(clock.now() - t0)
-            if inline:
-                stats.inline_chunks += 1
-                submitted_at[0] = clock.now()
-                wrapped[0] = run_traced_chunk(
-                    (func, 0, blobs[0], self.profile_memory)
-                )
-                completed_at[0] = clock.now()
-                collect_seconds = completed_at[0] - submitted_at[0]
-            else:
+                serialize_seconds.append(clock.now() - t0)
+            if not inline:
                 t0 = clock.now()
                 pool = self._ensure_pool()
                 pool_start_seconds = clock.now() - t0
+                fault, hang = self.worker_fault, self.worker_hang
                 try:
                     t0 = clock.now()
                     futures: List["Future[Any]"] = []
                     try:
                         for index, blob in enumerate(blobs):
-                            fault = self.worker_fault
-                            hang = self.worker_hang
                             submitted_at[index] = clock.now()
                             if fault is not None and fault.should_kill(
                                 call_index, index
@@ -538,145 +417,141 @@ class MultiprocessExecutor(Executor):
                                 future = pool.submit(hang_worker, hang.seconds)
                             else:
                                 future = pool.submit(
-                                    run_traced_chunk,
-                                    (func, index, blob, self.profile_memory),
+                                    run_chunk,
+                                    (func, index, blob, profile_memory),
                                 )
                             future.add_done_callback(
                                 _completion_marker(completed_at, index, clock)
                             )
                             futures.append(future)
                     except BrokenProcessPool:
-                        # A warm worker died mid-submission; everything
-                        # unsubmitted is lost and recomputed below.
-                        pass
+                        # A warm worker died while chunks were still being
+                        # submitted; everything unsubmitted is lost and
+                        # recomputed below, like any other broken-pool loss.
+                        failed.extend(range(len(futures), count))
                     submit_seconds = clock.now() - t0
-                    for index in range(count):
-                        if index >= len(futures):
-                            failed.append(index)
-                            continue
+                    for index, future in enumerate(futures):
                         t0 = clock.now()
                         try:
-                            if self.timeout is not None:
-                                wrapped[index] = futures[index].result(
-                                    timeout=self.timeout
-                                )
-                            else:
-                                wrapped[index] = futures[index].result()
+                            wrapped[index] = future.result(
+                                timeout=self.timeout
+                            )
                         except BrokenProcessPool:
-                            # Same contract as the untraced path: only
-                            # a dead worker is retried; real exceptions
-                            # from ``func`` propagate unchanged.
+                            # The worker died before returning this chunk;
+                            # recompute it below. Anything else (a real
+                            # exception raised by ``func``) propagates
+                            # unchanged.
                             failed.append(index)
                         except FuturesTimeout:
-                            # Wedged worker: lost-chunk treatment, and
-                            # shutdown must not wait for it below.
+                            # The worker is wedged, not dead: same lost-
+                            # chunk treatment, but shutdown must not wait
+                            # for it below.
                             timed_out.append(index)
-                            futures[index].cancel()
+                            future.cancel()
                         collect_seconds += clock.now() - t0
                 finally:
+                    # A clean dispatch keeps the pool warm for the next
+                    # call. A broken pool is useless and a hung worker
+                    # must never park shutdown — discard without waiting
+                    # (not-yet-started futures are cancelled).
                     t0 = clock.now()
-                    # Same retention policy as the untraced path: keep
-                    # the pool warm unless this dispatch broke it.
                     if failed or timed_out:
                         self._discard_pool(wait=False)
                     teardown_seconds = clock.now() - t0
-                lost = sorted(failed + timed_out)
+            lost = sorted(failed + timed_out)
+            if inline:
+                stats.inline_chunks += 1
+            else:
                 stats.worker_chunks += count - len(lost)
-                t0 = clock.now()
-                for index in lost:
-                    # Deterministic retry, still traced: the in-process
-                    # rerun produces the same result bytes and a trace
-                    # attributed to the parent pid.
-                    wrapped[index] = run_traced_chunk(
-                        (func, index, blobs[index], self.profile_memory)
-                    )
-                    completed_at[index] = clock.now()
-                    stats.worker_retries += 1
+                stats.worker_retries += len(lost)
                 stats.chunks_timed_out += len(timed_out)
-                retry_seconds = clock.now() - t0
-
-            deserialize_seconds = 0.0
-            results: List[Any] = []
-            profiles: List[ChunkProfile] = []
-            traces: List[Dict[str, Any]] = []
-            for index in range(count):
-                result_blob, trace = wrapped[index]
-                t0 = clock.now()
-                results.append(pickle.loads(result_blob))
-                result_deserialize = clock.now() - t0
-                deserialize_seconds += result_deserialize
-                traces.append(trace)
-                done = completed_at.get(index, submitted_at[index])
-                round_trip = max(0.0, done - submitted_at[index])
-                worker_seconds = float(trace.get("worker_seconds", 0.0))
-                peak = trace.get("tracemalloc_peak_bytes")
-                profiles.append(
-                    ChunkProfile(
-                        chunk=index,
-                        worker=int(trace.get("pid", 0)),
-                        inline=inline,
-                        retried=index in lost,
-                        payload_bytes_in=len(blobs[index]),
-                        payload_bytes_out=len(result_blob),
-                        serialize_seconds=chunk_serialize[index],
-                        deserialize_seconds=float(
-                            trace.get("deserialize_seconds", 0.0)
-                        ),
-                        compute_seconds=float(
-                            trace.get("compute_seconds", 0.0)
-                        ),
-                        result_serialize_seconds=float(
-                            trace.get("serialize_seconds", 0.0)
-                        ),
-                        result_deserialize_seconds=result_deserialize,
-                        queue_seconds=max(0.0, round_trip - worker_seconds),
-                        round_trip_seconds=round_trip,
-                        tracemalloc_peak_bytes=(
-                            int(peak) if peak is not None else None
-                        ),
-                    )
+            t0 = clock.now()
+            for index in [0] if inline else lost:
+                # Inline, or a deterministic retry: the same func and
+                # payload yield the result bytes a worker would have
+                # returned, with a trace attributed to the parent pid.
+                submitted_at.setdefault(index, clock.now())
+                wrapped[index] = run_chunk(
+                    (func, index, blobs[index], profile_memory)
                 )
+                completed_at[index] = clock.now()
+            if inline:
+                collect_seconds = clock.now() - t0
+            else:
+                retry_seconds = clock.now() - t0
+            results: List[Any] = []
+            result_deserialize: List[float] = []
+            for index in range(count):
+                t0 = clock.now()
+                results.append(pickle.loads(wrapped[index][0]))
+                result_deserialize.append(clock.now() - t0)
+            traces = [wrapped[index][1] for index in range(count)]
             t0 = clock.now()
             merge_worker_events(tracer, traces)
             merge_seconds = clock.now() - t0
             tracer.count("parallel.chunks", count)
-            tracer.count(
-                "parallel.payload_bytes_in", sum(len(b) for b in blobs)
-            )
+            tracer.count("parallel.payload_bytes_in", sum(map(len, blobs)))
             tracer.count(
                 "parallel.payload_bytes_out",
-                sum(p.payload_bytes_out for p in profiles),
+                sum(trace["result_bytes"] for trace in traces),
             )
             if lost:
                 tracer.count("parallel.worker_retries", len(lost))
             if timed_out:
                 tracer.count("parallel.chunks_timed_out", len(timed_out))
             peaks = [
-                p.tracemalloc_peak_bytes
-                for p in profiles
-                if p.tracemalloc_peak_bytes is not None
+                trace["tracemalloc_peak_bytes"]
+                for trace in traces
+                if trace["tracemalloc_peak_bytes"] is not None
             ]
             if peaks:
                 tracer.gauge(
                     "parallel.tracemalloc_peak_bytes", float(max(peaks))
                 )
             wall_seconds = clock.now() - wall_start
-        self.profile.add(
-            DispatchProfile(
-                label=label,
-                map_call=call_index,
-                wall_seconds=wall_seconds,
-                serialize_seconds=sum(chunk_serialize),
-                pool_start_seconds=pool_start_seconds,
-                submit_seconds=submit_seconds,
-                collect_seconds=collect_seconds,
-                teardown_seconds=teardown_seconds,
-                retry_seconds=retry_seconds,
-                deserialize_seconds=deserialize_seconds,
-                merge_seconds=merge_seconds,
-                chunks=profiles,
+        if tracer.enabled:
+            chunks: List[ChunkProfile] = []
+            for index, trace in enumerate(traces):
+                submitted = submitted_at[index]
+                round_trip = max(
+                    0.0, completed_at.get(index, submitted) - submitted
+                )
+                chunks.append(
+                    ChunkProfile(
+                        chunk=index,
+                        worker=trace["pid"],
+                        inline=inline,
+                        retried=index in lost,
+                        payload_bytes_in=len(blobs[index]),
+                        payload_bytes_out=trace["result_bytes"],
+                        serialize_seconds=serialize_seconds[index],
+                        deserialize_seconds=trace["deserialize_seconds"],
+                        compute_seconds=trace["compute_seconds"],
+                        result_serialize_seconds=trace["serialize_seconds"],
+                        result_deserialize_seconds=result_deserialize[index],
+                        queue_seconds=max(
+                            0.0, round_trip - trace["worker_seconds"]
+                        ),
+                        round_trip_seconds=round_trip,
+                        tracemalloc_peak_bytes=trace["tracemalloc_peak_bytes"],
+                    )
+                )
+            self.profile.add(
+                DispatchProfile(
+                    label=label,
+                    map_call=call_index,
+                    wall_seconds=wall_seconds,
+                    serialize_seconds=sum(serialize_seconds),
+                    pool_start_seconds=pool_start_seconds,
+                    submit_seconds=submit_seconds,
+                    collect_seconds=collect_seconds,
+                    teardown_seconds=teardown_seconds,
+                    retry_seconds=retry_seconds,
+                    deserialize_seconds=sum(result_deserialize),
+                    merge_seconds=merge_seconds,
+                    chunks=chunks,
+                )
             )
-        )
         return results
 
     def profile_echo(self) -> Dict[str, Any]:
@@ -720,9 +595,7 @@ def make_executor(
     workers: int,
     chunk_size: Optional[int] = None,
     profile_memory: bool = False,
-    timeout: Optional[float] = None,
     shared_state: Optional[bool] = None,
-    min_dispatch_items: int = 512,
 ) -> Executor:
     """The executor for a ``--workers N`` request (serial when N <= 1)."""
     if workers <= 1:
@@ -731,7 +604,5 @@ def make_executor(
         workers,
         chunk_size=chunk_size,
         profile_memory=profile_memory,
-        timeout=timeout,
         shared_state=shared_state,
-        min_dispatch_items=min_dispatch_items,
     )

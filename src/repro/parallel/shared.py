@@ -41,7 +41,7 @@ import itertools
 import multiprocessing
 import pickle
 from multiprocessing import shared_memory
-from typing import Any, Dict, Iterator, List, Mapping, Tuple
+from typing import Any, Dict, Iterator, List, Mapping
 
 import numpy as np
 
@@ -197,6 +197,3 @@ def publish_shared_state(**objects: Any) -> SharedStateHandle:
     _GENERATION += 1
     return SharedStateHandle(token, objects, segments, corpora, baseline_bytes)
 
-
-#: Payload of a shared-dispatch chunk: (token, pairs).
-SharedChunk = Tuple[str, List[Tuple[int, int]]]

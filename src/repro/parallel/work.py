@@ -54,13 +54,13 @@ __all__ = [
     "score_pair_chunk_shared",
     "classify_pair_chunk",
     "classify_pair_chunk_shared",
-    "run_traced_chunk",
+    "run_chunk",
 ]
 
 Pair = Tuple[int, int]
 
 #: (chunk function, chunk index, pickled chunk payload, profile memory?)
-TracedChunk = Tuple[Callable[[Any], Any], int, bytes, bool]
+ChunkCall = Tuple[Callable[[Any], Any], int, bytes, bool]
 
 #: (scorer, item bags restricted to the chunk's records, pairs to score)
 ScoreChunk = Tuple["BlockScorer", Dict[int, FrozenSet["Item"]], List[Pair]]
@@ -161,20 +161,21 @@ def classify_pair_chunk_shared(
 @impure(
     reason="reads the worker clock and pid to attribute per-chunk time; "
            "the wrapped chunk function stays pure, so the unpickled "
-           "result is identical to the untraced path's"
+           "result does not depend on where the chunk ran"
 )
-def run_traced_chunk(payload: TracedChunk) -> Tuple[bytes, Dict[str, Any]]:
-    """Run one chunk under a :class:`WorkerTracer`; ship trace + result.
+def run_chunk(payload: ChunkCall) -> Tuple[bytes, Dict[str, Any]]:
+    """Run one chunk under a :class:`WorkerTracer`; ship result + trace.
 
-    The traced executor pickles the chunk payload itself (measuring
-    bytes and serialize time parent-side), so this wrapper receives raw
-    bytes: it times the unpickle, runs the *same* module-level chunk
-    function the untraced path runs under a ``worker.compute`` span —
-    optionally under ``tracemalloc`` — and times the result pickle.
-    Returns ``(result pickle, worker-trace payload)``; the parent
-    unpickles the result (measuring that too) and merges the trace
-    keyed by chunk index. Runs identically in a pool worker, inline,
-    or in a crash retry — only the pid in the trace differs.
+    Every ``MultiprocessExecutor`` chunk runs through here — in a pool
+    worker, inline, or in a crash/hang retry — whether or not the
+    parent traces. The parent pickles the chunk payload itself, so this
+    wrapper receives raw bytes: it times the unpickle, runs the
+    module-level chunk function under a ``worker.compute`` span —
+    under ``tracemalloc`` when ``profile_memory`` is set — and times
+    the result pickle. Returns ``(result pickle, worker-trace
+    payload)``; the parent unpickles the result and, when tracing,
+    merges the trace keyed by chunk index. Only the pid in the trace
+    depends on where the chunk ran.
     """
     func, chunk_index, blob, profile_memory = payload
     tracer = WorkerTracer()

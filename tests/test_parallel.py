@@ -10,7 +10,8 @@ a stage budget, and runs where a worker is killed mid-chunk.
 This file pins that contract three ways:
 
 * unit tests for the chunk planner and both executors (submission-order
-  collection, inline shortcut, crash retry, stats accounting);
+  collection, inline shortcut, crash retry, stats accounting), with
+  every fault case run untraced and traced and held to equal stats;
 * a serial-vs-parallel parity matrix over corpus sizes x worker counts
   x chunk sizes, comparing the full ranked CSV bytes;
 * cross-cutting parity: checkpoint resume across worker counts, budget
@@ -20,6 +21,8 @@ This file pins that contract three ways:
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -55,6 +58,56 @@ def _square_chunk(chunk):
 
 def _sum_chunk(chunk):
     return sum(chunk)
+
+
+def _fail_on_three(chunk):
+    if 3 in chunk:
+        raise ValueError("chunk holds 3")
+    return chunk
+
+
+def _dispatch_untraced_and_traced(new_executor, payloads):
+    """Run one dispatch untraced, then traced, each on a fresh executor.
+
+    Both runs must return ``SerialExecutor``'s results: the tracer
+    decides only what is recorded, never what runs. Returns the two
+    (closed) executors and the traced run's tracer.
+    """
+    expected = SerialExecutor().map_chunks(_square_chunk, payloads)
+    tracer = Tracer()
+    executors = []
+    for run_tracer in (None, tracer):
+        executor = new_executor()
+        try:
+            assert (
+                executor.map_chunks(_square_chunk, payloads, tracer=run_tracer)
+                == expected
+            )
+        finally:
+            executor.close()
+        executors.append(executor)
+    tracer.close()
+    untraced, traced = executors
+    return untraced, traced, tracer
+
+
+class _PoolBreaksAfterFirstSubmit:
+    """A pool stand-in whose workers die after the first submission."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.shutdowns = []
+
+    def submit(self, fn, *args):
+        if self.submitted:
+            raise BrokenProcessPool("a worker died during submission")
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
 
 
 def _resolve_csv(dataset, executor, tmp_path, tag, config=None):
@@ -155,18 +208,30 @@ class TestExecutors:
 
     def test_worker_crash_is_retried_deterministically(self):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
-        expected = SerialExecutor().map_chunks(_square_chunk, payloads)
-        plan = WorkerCrashPlan(map_call=0, chunk=0)
-        executor = MultiprocessExecutor(2, worker_fault=plan)
-        assert executor.map_chunks(_square_chunk, payloads) == expected
-        assert plan.fired
-        assert executor.stats.kills_armed == 1
-        # The killed chunk — plus any siblings lost with the broken
-        # pool — is recomputed in-process.
-        assert executor.stats.worker_retries >= 1
+        untraced, traced, tracer = _dispatch_untraced_and_traced(
+            lambda: MultiprocessExecutor(
+                2, worker_fault=WorkerCrashPlan(map_call=0, chunk=0)
+            ),
+            payloads,
+        )
+        for executor in (untraced, traced):
+            assert executor.worker_fault.fired
+            stats = executor.stats
+            assert stats.kills_armed == 1
+            # The killed chunk — plus any siblings lost with the broken
+            # pool — is recomputed in-process.
+            assert stats.worker_retries >= 1
+            assert stats.worker_chunks + stats.worker_retries == len(payloads)
+        # How many siblings the broken pool takes down depends on the OS
+        # schedule; everything else in the echo must match.
+        untraced_echo = untraced.stats.to_echo()
+        traced_echo = traced.stats.to_echo()
+        for echo in (untraced_echo, traced_echo):
+            echo["worker_chunks"] += echo.pop("worker_retries")
+        assert untraced_echo == traced_echo
         assert (
-            executor.stats.worker_chunks + executor.stats.worker_retries
-            == len(payloads)
+            tracer.aggregate.counters["parallel.worker_retries"]
+            == traced.stats.worker_retries
         )
 
     def test_worker_crash_plan_fires_exactly_once(self):
@@ -181,14 +246,23 @@ class TestExecutors:
 
     def test_hung_worker_times_out_and_is_retried(self):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
-        expected = SerialExecutor().map_chunks(_square_chunk, payloads)
-        plan = WorkerHangPlan(map_call=0, chunk=1, seconds=30.0)
-        executor = MultiprocessExecutor(2, timeout=0.5, worker_hang=plan)
-        assert executor.map_chunks(_square_chunk, payloads) == expected
-        assert plan.fired
-        assert executor.stats.hangs_armed == 1
-        assert executor.stats.chunks_timed_out == 1
-        assert executor.stats.worker_retries >= 1
+        untraced, traced, tracer = _dispatch_untraced_and_traced(
+            lambda: MultiprocessExecutor(
+                2,
+                timeout=0.5,
+                worker_hang=WorkerHangPlan(map_call=0, chunk=1, seconds=30.0),
+            ),
+            payloads,
+        )
+        for executor in (untraced, traced):
+            assert executor.worker_hang.fired
+            assert executor.stats.hangs_armed == 1
+            assert executor.stats.chunks_timed_out == 1
+            assert executor.stats.worker_retries == 1
+        assert untraced.stats.to_echo() == traced.stats.to_echo()
+        counters = tracer.aggregate.counters
+        assert counters["parallel.chunks_timed_out"] == 1
+        assert counters["parallel.worker_retries"] == 1
 
     def test_hung_worker_timeout_traced(self):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
@@ -196,23 +270,78 @@ class TestExecutors:
         plan = WorkerHangPlan(map_call=0, chunk=0, seconds=30.0)
         executor = MultiprocessExecutor(2, timeout=0.5, worker_hang=plan)
         tracer = Tracer()
-        assert (
-            executor.map_chunks(_square_chunk, payloads, tracer=tracer)
-            == expected
-        )
+        try:
+            assert (
+                executor.map_chunks(_square_chunk, payloads, tracer=tracer)
+                == expected
+            )
+        finally:
+            executor.close()
         tracer.close()
+        assert plan.fired
         counters = tracer.aggregate.counters
         assert counters["parallel.chunks_timed_out"] == 1
         assert counters["parallel.worker_retries"] >= 1
         assert executor.stats.chunks_timed_out == 1
+        assert (
+            counters["parallel.worker_retries"] == executor.stats.worker_retries
+        )
 
     def test_timeout_without_hang_changes_nothing(self):
         payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
-        expected = SerialExecutor().map_chunks(_square_chunk, payloads)
-        executor = MultiprocessExecutor(2, timeout=60.0)
-        assert executor.map_chunks(_square_chunk, payloads) == expected
-        assert executor.stats.chunks_timed_out == 0
-        assert executor.stats.worker_retries == 0
+        untraced, traced, _tracer = _dispatch_untraced_and_traced(
+            lambda: MultiprocessExecutor(2, timeout=60.0), payloads
+        )
+        for executor in (untraced, traced):
+            assert executor.stats.chunks_timed_out == 0
+            assert executor.stats.worker_retries == 0
+        assert untraced.stats.to_echo() == traced.stats.to_echo()
+
+    def test_work_function_exception_propagates_without_retry(self):
+        payloads = [[1], [2], [3], [4]]
+        with pytest.raises(ValueError, match="chunk holds 3"):
+            SerialExecutor().map_chunks(_fail_on_three, payloads)
+        echoes = []
+        for tracer in (None, Tracer()):
+            executor = MultiprocessExecutor(2)
+            try:
+                with pytest.raises(ValueError, match="chunk holds 3"):
+                    executor.map_chunks(
+                        _fail_on_three, payloads, tracer=tracer
+                    )
+            finally:
+                executor.close()
+            # A real error is not a lost chunk: nothing is recomputed.
+            assert executor.stats.worker_retries == 0
+            echoes.append(executor.stats.to_echo())
+        assert echoes[0] == echoes[1]
+
+    def test_pool_breaking_during_submission_recomputes_the_rest(
+        self, monkeypatch
+    ):
+        pools = []
+
+        def ensure_pool(executor):
+            pool = _PoolBreaksAfterFirstSubmit()
+            pools.append(pool)
+            executor._pool = pool
+            return pool
+
+        monkeypatch.setattr(MultiprocessExecutor, "_ensure_pool", ensure_pool)
+        payloads = [list(range(i, i + 3)) for i in range(0, 12, 3)]
+        untraced, traced, _tracer = _dispatch_untraced_and_traced(
+            lambda: MultiprocessExecutor(2), payloads
+        )
+        for executor in (untraced, traced):
+            # Only chunk 0 reached the pool; the unsubmitted rest were
+            # recomputed in-process and counted as retries.
+            assert executor.stats.worker_chunks == 1
+            assert executor.stats.worker_retries == len(payloads) - 1
+            assert executor._pool is None
+        assert untraced.stats.to_echo() == traced.stats.to_echo()
+        # The broken pool was discarded without waiting on its workers.
+        assert [pool.submitted for pool in pools] == [1, 1]
+        assert [pool.shutdowns for pool in pools] == [[(False, True)]] * 2
 
     def test_timeout_and_hang_plan_validation(self):
         with pytest.raises(ValueError):

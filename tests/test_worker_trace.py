@@ -5,7 +5,7 @@ Pins the three promises of the cross-process tracing layer
 
 * **Schema fidelity** — :class:`WorkerTracer` buffers events through
   the same ``Span`` machinery as the parent tracer, so worker events
-  carry the exact parent-side schema, and ``run_traced_chunk`` ships a
+  carry the exact parent-side schema, and ``run_chunk`` ships a
   picklable ``(result bytes, trace export)`` pair.
 * **Merge determinism** — worker buffers fold into the parent trace
   keyed by chunk index, so a shuffled arrival order produces the same
@@ -45,7 +45,7 @@ from repro.obs.worker import (
     DispatchProfile,
     ParallelProfile,
 )
-from repro.parallel import MultiprocessExecutor, make_executor, run_traced_chunk
+from repro.parallel import MultiprocessExecutor, make_executor, run_chunk
 from repro.resilience import WorkerCrashPlan
 
 WORKER_COUNTS = (1, 2, 4)
@@ -175,13 +175,13 @@ class TestWorkerTracer:
         assert pickle.loads(pickle.dumps(export)) == export
 
 
-# -- run_traced_chunk ---------------------------------------------------------
+# -- run_chunk ----------------------------------------------------------------
 
 
 class TestRunTracedChunk:
     def test_round_trip_result_and_trace(self):
         blob = pickle.dumps([1, 2, 3], protocol=pickle.HIGHEST_PROTOCOL)
-        result_blob, trace = run_traced_chunk((_square_chunk, 4, blob, False))
+        result_blob, trace = run_chunk((_square_chunk, 4, blob, False))
         assert pickle.loads(result_blob) == [1, 4, 9]
         assert trace["chunk"] == 4
         assert trace["result_bytes"] == len(result_blob)
@@ -196,7 +196,7 @@ class TestRunTracedChunk:
 
     def test_profile_memory_records_tracemalloc_peak(self):
         blob = pickle.dumps(list(range(100)), protocol=pickle.HIGHEST_PROTOCOL)
-        _result, trace = run_traced_chunk((_square_chunk, 0, blob, True))
+        _result, trace = run_chunk((_square_chunk, 0, blob, True))
         assert trace["tracemalloc_peak_bytes"] is not None
         assert trace["tracemalloc_peak_bytes"] > 0
 
@@ -207,7 +207,7 @@ class TestRunTracedChunk:
         blob = pickle.dumps([1], protocol=pickle.HIGHEST_PROTOCOL)
         # In-process call: the closure needn't be picklable here.
         with pytest.raises(ValueError):
-            run_traced_chunk((boom, 0, blob, False))
+            run_chunk((boom, 0, blob, False))
 
 
 # -- merge determinism --------------------------------------------------------
